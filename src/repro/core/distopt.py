@@ -11,6 +11,11 @@ parallelizes too — and (3) applies the returned moves in canonical
 window order regardless of completion order, which is why a parallel
 run reproduces the serial placement bit-for-bit on the same seed.
 
+Each pass keeps one :class:`~repro.core.placeindex.PlacementIndex`
+in step with its applies, so a window's neighborhood (the cache
+signature, the movable set and the slice all start from it) is one
+O(window) query instead of a scan of the whole design.
+
 The incremental engine rides on three cooperating pieces:
 
 * an optional :class:`~repro.core.dirty.DirtyTracker` skips windows
@@ -48,7 +53,9 @@ from repro.core.dirty import DirtyTracker, dirty_write_for_moves
 from repro.core.formulation import probe_rect, window_slice
 from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
+from repro.core.placeindex import PlacementIndex
 from repro.core.window import independent_families, partition
+from repro.geometry import Orientation
 from repro.milp.highs_backend import HighsBackend
 from repro.milp.solution import SolveStatus
 from repro.netlist.design import Design
@@ -205,6 +212,9 @@ def dist_opt(
         windows = [w for w in windows if window_filter(w)]
     families = independent_families(windows)
     result.family_count = len(families)
+    # One neighborhood index per pass, kept in step with every
+    # applied window, so each window's probe query is O(window).
+    index = PlacementIndex(design)
 
     with span(
         "distopt",
@@ -223,7 +233,8 @@ def dist_opt(
             for family_index, family in enumerate(families):
                 next_task_id = _run_family(
                     design, params, family, family_index,
-                    spec=spec, scheduler=scheduler, result=result,
+                    index=index, spec=spec, scheduler=scheduler,
+                    result=result,
                     telemetry=telemetry, pass_label=pass_label,
                     lx=lx, ly=ly, allow_flip=allow_flip,
                     next_task_id=next_task_id,
@@ -302,6 +313,7 @@ def _run_family(
     family,
     family_index: int,
     *,
+    index: PlacementIndex,
     spec: SolverSpec,
     scheduler: FamilyScheduler,
     result: DistOptResult,
@@ -323,10 +335,10 @@ def _run_family(
     keys: dict[int, tuple] = {}
     probes: dict[int, tuple] = {}
     for window in family:
-        key = probe = None
+        key = None
+        probe = probe_rect(design, window)
         if dirty is not None:
             key = DirtyTracker.window_key(window, lx, ly, allow_flip)
-            probe = probe_rect(design, window)
             if dirty.is_clean(key, probe):
                 # Previously verified fixpoint, nothing written in its
                 # neighborhood since: re-solving would provably
@@ -344,10 +356,14 @@ def _run_family(
                         )
                     )
                 continue
+        # The one neighborhood scan of this window: it feeds the
+        # cache signature, the movable set and the slice.
+        near = index.query(probe)
         token = None
         if cache is not None:
             hit, token = cache.probe(
-                design, window, lx=lx, ly=ly, allow_flip=allow_flip
+                design, window, lx=lx, ly=ly, allow_flip=allow_flip,
+                near=near,
             )
             if hit:
                 # A fixpoint with identical content: re-solving would
@@ -370,7 +386,7 @@ def _run_family(
                 continue
             cache.note_miss()
             result.cache_misses += 1
-        sliced = window_slice(design, window)
+        sliced = window_slice(design, window, near)
         if sliced is None:
             # No movable cells, so the build reads no nets at all —
             # the mark's net set is empty.  Clean by construction: a
@@ -442,6 +458,7 @@ def _run_family(
         _absorb_spans(tracer, outcome, status)
         result.moved_cells += moved
         if status == "applied":
+            index.update(outcome.movable)
             result.objective_delta += delta
             family_cell_rects.extend(write.cell_rects)
             family_nets.extend(write.nets)
@@ -557,6 +574,8 @@ def _apply_guarded(
     :class:`~repro.core.dirty.DirtyWrite` (``()`` when nothing was
     applied).
     """
+    if not _moves_anything(design, outcome.moves):
+        return "no_move", 0, 0.0, ()
     nets = [design.nets[name] for name in outcome.nets]
     before_local = calculate_objective(design, params, nets)
     snapshot = {
@@ -569,8 +588,6 @@ def _apply_guarded(
         inst = design.instances[name]
         if (inst.x, inst.y, inst.orientation) != prev:
             changed.append(name)
-    if not changed:
-        return "no_move", 0, 0.0, ()
     after_local = calculate_objective(design, params, nets)
     if after_local > before_local - 1e-9:
         for name, state in snapshot.items():
@@ -581,6 +598,23 @@ def _apply_guarded(
     result.windows_applied += 1
     write = dirty_write_for_moves(design, changed, snapshot)
     return "applied", len(changed), after_local - before_local, write
+
+
+def _moves_anything(design: Design, moves) -> bool:
+    """True when some move would change its cell's placement (the
+    state :meth:`Design.place` writes), so a guarded apply whose moves
+    are all identities skips both local objective sweeps."""
+    xlo, ylo = design.die.xlo, design.die.ylo
+    sw, rh = design.tech.site_width, design.tech.row_height
+    for name, column, row, flipped in moves:
+        inst = design.instances[name]
+        if (
+            inst.x != xlo + column * sw
+            or inst.y != ylo + row * rh
+            or inst.orientation is not Orientation.for_row(row, flipped)
+        ):
+            return True
+    return False
 
 
 def _placement_of(design: Design, name: str):

@@ -39,6 +39,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.core.params import OptParams
+from repro.core.placeindex import PlacementIndex
 from repro.core.scp import Candidate, enumerate_candidates
 from repro.core.window import Window
 from repro.geometry import Orientation
@@ -282,7 +283,7 @@ def apply_solution(
 
 
 def window_slice(
-    design: Design, window: Window
+    design: Design, window: Window, near: list[Instance] | None = None
 ) -> Design | None:
     """The minimal sub-design a worker-side window build needs.
 
@@ -295,6 +296,10 @@ def window_slice(
     movables, same blocked sites, same touched nets, same pin
     geometry — so it produces the same model, bit for bit.
 
+    ``near`` is that probe neighborhood in ``design.instances`` order
+    (a :class:`~repro.core.placeindex.PlacementIndex` query); without
+    it a throwaway index answers the query.
+
     Returns ``None`` when the window holds no movable cell (nothing
     to build, mirroring the full build's early-out).
 
@@ -302,18 +307,12 @@ def window_slice(
     copied: the worker only reads them, and pickling a task for a
     process executor deep-copies the slice anyway.
     """
-    probe = probe_rect(design, window)
-    rect = window.rect
-    instances: dict[str, Instance] = {}
-    movable: set[str] = set()
-    for name, inst in design.instances.items():
-        if not inst.bbox.overlaps_open(probe):
-            continue
-        instances[name] = inst
-        if not inst.fixed and rect.contains_rect(inst.bbox):
-            movable.add(name)
+    if near is None:
+        near = probe_neighbors(design, window)
+    movable = window_movables(window, near)
     if not movable:
         return None
+    instances: dict[str, Instance] = {inst.name: inst for inst in near}
     nets: dict[str, Net] = {}
     for net in design.nets_of_instances(movable):
         nets[net.name] = net
@@ -326,6 +325,29 @@ def window_slice(
     sub.instances = instances
     sub.nets = nets
     return sub
+
+
+def probe_neighbors(design: Design, window: Window) -> list[Instance]:
+    """Every instance overlapping the window's probe rect, in
+    ``design.instances`` order, through a throwaway index (DistOpt
+    keeps one index per pass instead)."""
+    return PlacementIndex(design).query(probe_rect(design, window))
+
+
+def window_movables(window: Window, near: list[Instance]) -> set[str]:
+    """The unfixed cells of ``near`` lying fully inside the window —
+    the cells its model may move."""
+    rect = window.rect
+    xlo, ylo, xhi, yhi = rect.xlo, rect.ylo, rect.xhi, rect.yhi
+    return {
+        inst.name
+        for inst in near
+        if not inst.fixed
+        and xlo <= inst.x
+        and inst.x + inst.width <= xhi
+        and ylo <= inst.y
+        and inst.y + inst.height <= yhi
+    }
 
 
 # ---------------------------------------------------------------- helpers
@@ -395,11 +417,16 @@ def probe_rect(design: Design, window: Window):
 def _blocked_sites(
     design: Design, window: Window, movable: set[str]
 ) -> set[tuple[int, int]]:
-    """Sites inside the window footprinted by cells we may not move
-    (boundary-straddling or fixed cells)."""
+    """Sites footprinted by cells we may not move (boundary-straddling
+    or fixed cells) that overlap the window.
+
+    Only the window rect matters: every SCP candidate is clipped to
+    it (:func:`~repro.core.scp.enumerate_candidates`), so a site
+    outside the window is never covered by a candidate, and a cell
+    that does not overlap the window covers no site inside it."""
     blocked: set[tuple[int, int]] = set()
-    probe = probe_rect(design, window)
-    xlo, ylo, xhi, yhi = probe.xlo, probe.ylo, probe.xhi, probe.yhi
+    rect = window.rect
+    xlo, ylo, xhi, yhi = rect.xlo, rect.ylo, rect.xhi, rect.yhi
     # Set contents are order-independent — no need to sort the scan.
     for name, inst in design.instances.items():
         if name in movable:

@@ -33,9 +33,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.core.formulation import probe_rect
+from repro.core.formulation import probe_neighbors, window_movables
 from repro.core.window import Window
-from repro.netlist.design import Design
+from repro.netlist.design import Design, Instance
 
 #: (window rect, lx, ly, allow_flip) — the per-window identity.
 CacheKey = tuple[int, int, int, int, int, int, bool]
@@ -105,8 +105,10 @@ class WindowSolveCache:
         lx: int,
         ly: int,
         allow_flip: bool,
+        near: list[Instance] | None = None,
     ) -> tuple[bool, CacheToken]:
-        """Hash the window's content; returns ``(hit, token)``."""
+        """Hash the window's content (``near`` as in
+        :meth:`signature_and_nets`); returns ``(hit, token)``."""
         key: CacheKey = (
             window.rect.xlo,
             window.rect.ylo,
@@ -116,7 +118,7 @@ class WindowSolveCache:
             ly,
             allow_flip,
         )
-        content, nets = self.signature_and_nets(design, window)
+        content, nets = self.signature_and_nets(design, window, near)
         token = CacheToken(key=key, content=content, nets=nets)
         hit = self._entries.get(key) == content
         if hit:
@@ -188,31 +190,37 @@ class WindowSolveCache:
 
     @staticmethod
     def signature_and_nets(
-        design: Design, window: Window
+        design: Design,
+        window: Window,
+        near: list[Instance] | None = None,
     ) -> tuple[bytes, tuple[str, ...]]:
         """The content hash plus the touched-net names it covered
         (the nets of the window's movable cells — the exact read set
-        a dirty-tracker mark needs)."""
-        digest = hashlib.blake2b(digest_size=16)
-        probe = probe_rect(design, window)
-        movable: set[str] = set()
-        for name, inst in sorted(design.instances.items()):
-            if not inst.bbox.overlaps_open(probe):
-                continue
-            digest.update(
-                f"{name},{inst.x},{inst.y},{inst.orientation.value},"
-                f"{int(inst.fixed)};".encode()
-            )
-            if not inst.fixed and window.rect.contains_rect(inst.bbox):
-                movable.add(name)
-        nets: list[str] = []
-        for net in design.nets_of_instances(movable):
-            nets.append(net.name)
-            digest.update(f"|{net.name}".encode())
+        a dirty-tracker mark needs).
+
+        ``near`` is the probe neighborhood (see
+        :func:`~repro.core.formulation.window_slice`); without it a
+        throwaway index answers the query.  The hashed text is one
+        ``repr`` of the neighborhood's placement tuples (sorted by
+        name) and the touched nets' pin placements.
+        """
+        if near is None:
+            near = probe_neighbors(design, window)
+        placed = sorted(
+            (inst.name, inst.x, inst.y, inst.orientation.value,
+             inst.fixed)
+            for inst in near
+        )
+        nets = design.nets_of_instances(window_movables(window, near))
+        pins = []
+        for net in nets:
             for ref in net.pins:
                 inst = design.instances[ref.instance]
-                digest.update(
-                    f",{ref.instance}.{ref.pin}:{inst.x},{inst.y},"
-                    f"{inst.orientation.value}".encode()
-                )
-        return digest.digest(), tuple(nets)
+                pins.append((
+                    net.name, ref.instance, ref.pin, inst.x, inst.y,
+                    inst.orientation.value,
+                ))
+        digest = hashlib.blake2b(
+            repr((placed, pins)).encode(), digest_size=16
+        )
+        return digest.digest(), tuple(net.name for net in nets)

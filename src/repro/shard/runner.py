@@ -22,11 +22,11 @@ and deterministic, so it is simply re-run on resume.
 
 from __future__ import annotations
 
+import hashlib
 import json
-import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.chaos.inject import active_chaos
@@ -35,6 +35,7 @@ from repro.core.checkpoint import VM1Checkpoint
 from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
 from repro.core.vm1opt import VM1OptResult, vm1_opt
+from repro.durable import atomic_write_text
 from repro.netlist.design import Design
 from repro.obs.trace import active as active_tracer
 from repro.obs.trace import collecting, current_context, span
@@ -57,7 +58,7 @@ from repro.shard.stitch import (
 #: Schema of the per-shard ``done`` record.
 DONE_SCHEMA = "repro.shard.done/v1"
 #: Schema of the plan fingerprint file.
-PLAN_SCHEMA = "repro.shard.plan/v1"
+PLAN_SCHEMA = "repro.shard.plan/v2"
 
 
 class ShardPlanError(ValueError):
@@ -80,11 +81,14 @@ class ShardOutcome:
     iterations: int = 0
     moved_cells: int = 0
     wall_seconds: float = 0.0
+    build_seconds: float = 0.0
+    presolve_seconds: float = 0.0
     solve_seconds: float = 0.0
     modeled_parallel_seconds: float = 0.0
     windows_failed: int = 0
     windows_timed_out: int = 0
     windows_cached: int = 0
+    windows_skipped_clean: int = 0
     resumed: bool = False
     #: span dicts collected inside the shard worker when the task
     #: carried a trace context; they ride the ``done`` record so a
@@ -105,11 +109,14 @@ class ShardOutcome:
             "iterations": self.iterations,
             "moved_cells": self.moved_cells,
             "wall_seconds": self.wall_seconds,
+            "build_seconds": self.build_seconds,
+            "presolve_seconds": self.presolve_seconds,
             "solve_seconds": self.solve_seconds,
             "modeled_parallel_seconds": self.modeled_parallel_seconds,
             "windows_failed": self.windows_failed,
             "windows_timed_out": self.windows_timed_out,
             "windows_cached": self.windows_cached,
+            "windows_skipped_clean": self.windows_skipped_clean,
             "resumed": self.resumed,
             "spans": list(self.spans),
         }
@@ -131,6 +138,9 @@ class ShardOutcome:
             iterations=int(doc["iterations"]),
             moved_cells=int(doc["moved_cells"]),
             wall_seconds=float(doc["wall_seconds"]),
+            # Done records written before these fields existed read 0.
+            build_seconds=float(doc.get("build_seconds", 0.0)),
+            presolve_seconds=float(doc.get("presolve_seconds", 0.0)),
             solve_seconds=float(doc["solve_seconds"]),
             modeled_parallel_seconds=float(
                 doc["modeled_parallel_seconds"]
@@ -138,6 +148,9 @@ class ShardOutcome:
             windows_failed=int(doc["windows_failed"]),
             windows_timed_out=int(doc["windows_timed_out"]),
             windows_cached=int(doc["windows_cached"]),
+            windows_skipped_clean=int(
+                doc.get("windows_skipped_clean", 0)
+            ),
             resumed=bool(doc.get("resumed", False)),
             spans=list(doc.get("spans", [])),
         )
@@ -194,7 +207,9 @@ class ShardTask:
             path = self.checkpoint_path
 
             def sink(cp: VM1Checkpoint) -> None:
-                _atomic_write(Path(path), cp.dumps())
+                atomic_write_text(
+                    Path(path), cp.dumps(), chaos=active_chaos()
+                )
 
         chaos_barrier(f"shard:{self.index}:start")
         started = time.perf_counter()
@@ -232,22 +247,35 @@ class ShardTask:
             iterations=result.iterations,
             moved_cells=result.moved_cells,
             wall_seconds=wall,
+            build_seconds=result.build_seconds,
+            presolve_seconds=result.presolve_seconds,
             solve_seconds=result.solve_seconds,
             modeled_parallel_seconds=result.modeled_parallel_seconds,
             windows_failed=result.windows_failed,
             windows_timed_out=result.windows_timed_out,
             windows_cached=result.windows_cached,
+            windows_skipped_clean=result.windows_skipped_clean,
             resumed=resume is not None,
             spans=trace_collector.export(),
         )
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Same-directory tmp + rename, the torn-write-safe idiom."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _params_digest(params: OptParams) -> str:
+    """Content hash of every optimizer parameter (key-sorted JSON, so
+    equal params hash equal whatever their ``net_beta`` order)."""
+    return _digest(json.dumps(asdict(params), sort_keys=True))
+
+
+def _placement_digest(design: Design) -> str:
+    """Content hash of the placement (instances sorted by name)."""
+    return _digest(repr(sorted(
+        (name, inst.x, inst.y, inst.orientation.value, inst.fixed)
+        for name, inst in design.instances.items()
+    )))
 
 
 class ShardCheckpointStore:
@@ -258,13 +286,21 @@ class ShardCheckpointStore:
         plan.json                  run fingerprint (refuses mismatched
                                    resumes)
         shard_000.ckpt.json        last per-pass VM1Checkpoint of the
-                                   shard still running (atomic)
+                                   shard still running
         shard_000.done.json        final ShardOutcome of a finished
-                                   shard (atomic; supersedes the ckpt)
+                                   shard (supersedes the ckpt)
+
+    Every file is written through
+    :func:`repro.durable.atomic_write_text` (temp, fsync, rename,
+    directory fsync), with the active chaos controller's ``fs.fsync``
+    site armed.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+
+    def _write(self, path: Path, text: str) -> None:
+        atomic_write_text(path, text, chaos=active_chaos())
 
     def _plan_path(self) -> Path:
         return self.root / "plan.json"
@@ -276,14 +312,22 @@ class ShardCheckpointStore:
         return self.root / f"shard_{index:03d}.done.json"
 
     def fingerprint(
-        self, design: Design, num_shards: int, halo_rows: int
+        self,
+        design: Design,
+        num_shards: int,
+        halo_rows: int,
+        params: OptParams,
     ) -> dict:
+        """What a resume must match: the plan shape, the optimizer
+        parameters and the input placement."""
         return {
             "schema": PLAN_SCHEMA,
             "design": design.name,
             "instances": len(design.instances),
             "shards": num_shards,
             "halo_rows": halo_rows,
+            "params": _params_digest(params),
+            "placement": _placement_digest(design),
         }
 
     def begin(
@@ -291,6 +335,7 @@ class ShardCheckpointStore:
         design: Design,
         num_shards: int,
         halo_rows: int,
+        params: OptParams,
         *,
         resume: bool,
     ) -> bool:
@@ -300,7 +345,7 @@ class ShardCheckpointStore:
         clears stale shard files; ``resume=True`` against a mismatched
         fingerprint raises instead of silently mixing two runs.
         """
-        want = self.fingerprint(design, num_shards, halo_rows)
+        want = self.fingerprint(design, num_shards, halo_rows, params)
         have: dict | None = None
         if self._plan_path().exists():
             try:
@@ -317,7 +362,7 @@ class ShardCheckpointStore:
         self.root.mkdir(parents=True, exist_ok=True)
         for stale in self.root.glob("shard_*.json"):
             stale.unlink()
-        _atomic_write(self._plan_path(), json.dumps(want, indent=1))
+        self._write(self._plan_path(), json.dumps(want, indent=1))
         return False
 
     def load_done(self, index: int) -> ShardOutcome | None:
@@ -327,7 +372,7 @@ class ShardCheckpointStore:
         return ShardOutcome.from_dict(json.loads(path.read_text()))
 
     def write_done(self, outcome: ShardOutcome) -> None:
-        _atomic_write(
+        self._write(
             self.done_path(outcome.index),
             json.dumps(outcome.to_dict()),
         )
@@ -386,6 +431,12 @@ class ShardRunResult:
             (o.iterations for o in self.outcomes), default=0
         )
         result.moved_cells = sum(o.moved_cells for o in self.outcomes)
+        result.build_seconds = sum(
+            o.build_seconds for o in self.outcomes
+        )
+        result.presolve_seconds = sum(
+            o.presolve_seconds for o in self.outcomes
+        )
         result.solve_seconds = sum(
             o.solve_seconds for o in self.outcomes
         )
@@ -405,11 +456,17 @@ class ShardRunResult:
         result.windows_cached = sum(
             o.windows_cached for o in self.outcomes
         )
+        result.windows_skipped_clean = sum(
+            o.windows_skipped_clean for o in self.outcomes
+        )
         if self.stitch is not None and self.stitch.seam_pass is not None:
             seam = self.stitch.seam_pass
             result.passes.append(seam)
             result.moved_cells += seam.moved_cells
+            result.build_seconds += seam.build_seconds
+            result.presolve_seconds += seam.presolve_seconds
             result.solve_seconds += seam.solve_seconds
+            result.windows_skipped_clean += seam.windows_skipped_clean
             result.modeled_parallel_seconds += (
                 seam.modeled_parallel_seconds
             )
@@ -569,7 +626,7 @@ def run_sharded(
             # Stale fingerprint: the checkpoint dir was left by some
             # other run.  ``begin(resume=True)`` must refuse it
             # instead of silently mixing two runs' shard state.
-            _atomic_write(
+            store._write(
                 store._plan_path(),
                 json.dumps(
                     {
@@ -583,7 +640,7 @@ def run_sharded(
                 ),
             )
         resuming = store.begin(
-            design, len(plan), halo_rows, resume=resume
+            design, len(plan), halo_rows, params, resume=resume
         )
 
     shard_kind, shard_workers, inner_kind, inner_jobs = plan_workers(

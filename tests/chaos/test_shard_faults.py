@@ -10,6 +10,7 @@ from repro.chaos import (
     chaos_scope,
 )
 from repro.core import OptParams
+from repro.core.checkpoint import VM1Checkpoint
 from repro.library import build_library
 from repro.netlist import generate_design
 from repro.placement import place_design
@@ -155,3 +156,47 @@ def test_stale_plan_without_resume_is_cleared(
         )
     assert chaos.total_fires() == 1
     assert design.placement_snapshot() == reference_snapshot
+
+
+def test_fsync_failure_in_shard_checkpoint_keeps_previous(
+    tmp_path, reference_snapshot
+):
+    """An injected ``fs.fsync`` failure on a shard's second per-pass
+    checkpoint write fails the run loudly, leaves the first pass's
+    checkpoint readable and intact, and leaves no temp debris; a
+    resume then converges to the uninterrupted placement."""
+    chaos = ChaosController(
+        plan=FaultPlan(
+            seed=0,
+            faults=(
+                FaultRule(
+                    site="fs.fsync", action="fail", nth=2,
+                    match="shard_000.ckpt.json",
+                ),
+            ),
+        )
+    )
+    interrupted = fresh_design()
+    with chaos_scope(chaos):
+        with pytest.raises(OSError, match="chaos: fsync failed"):
+            run_sharded(
+                interrupted, PARAMS, shards=2, halo_rows=2,
+                checkpoint_dir=tmp_path / "faulted",
+            )
+    store = ShardCheckpointStore(tmp_path / "faulted")
+    assert not [
+        p for p in store.root.iterdir() if p.name.endswith(".tmp")
+    ]
+    checkpoint = VM1Checkpoint.from_dict(store.load_resume_doc(0))
+    # The surviving document is the first pass's: a move pass of the
+    # first iteration.
+    assert (checkpoint.u_index, checkpoint.iteration) == (0, 0)
+    assert checkpoint.phase == "move"
+    assert store.load_done(0) is None
+
+    resumed = fresh_design()
+    run_sharded(
+        resumed, PARAMS, shards=2, halo_rows=2,
+        checkpoint_dir=tmp_path / "faulted", resume=True,
+    )
+    assert resumed.placement_snapshot() == reference_snapshot

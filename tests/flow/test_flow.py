@@ -95,3 +95,28 @@ def test_explicit_params_override():
     # alpha=0: still a valid flow; dM1 may or may not change.
     assert r.final_route is not None
     assert r.design.check_legal() == []
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_opt_accounting_survives_sharding(shards):
+    """Build, presolve and clean-skip figures reach ``FlowResult.opt``
+    whether or not the run shards (the shard layer used to drop them,
+    reporting 0)."""
+    from repro.core import OptParams, ParamSet
+
+    params = OptParams.for_arch(
+        CellArchitecture.CLOSED_M1,
+        sequence=(ParamSet.square(1.0, 3, 0),),
+        time_limit=2.0,
+        theta=1e-6,
+    )
+    r = run_flow(
+        FlowConfig(
+            profile="m0", scale=0.03, params=params, seed=2,
+            shards=shards,
+        )
+    )
+    assert (r.shard is not None) == (shards > 1)
+    assert r.opt.build_seconds > 0
+    assert r.opt.presolve_seconds > 0
+    assert r.opt.windows_skipped_clean > 0

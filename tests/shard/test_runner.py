@@ -10,6 +10,8 @@ The anchors:
   uninterrupted placement byte for byte (shard-granular crash safety).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import OptParams
@@ -20,6 +22,7 @@ from repro.placement import place_design
 from repro.runtime import SerialExecutor
 from repro.shard.runner import (
     ShardCheckpointStore,
+    ShardOutcome,
     ShardPlanError,
     plan_workers,
     run_sharded,
@@ -78,6 +81,21 @@ def test_sharded_vm1_view_aggregates(sharded_reference):
         o.moved_cells for o in result.outcomes
     )
     assert opt.solve_seconds > 0
+    # Build/presolve/clean-skip accounting survives the shard layer:
+    # the per-shard sums plus the seam pass's share.
+    seam = result.stitch.seam_pass
+    assert opt.build_seconds == pytest.approx(
+        sum(o.build_seconds for o in result.outcomes)
+        + seam.build_seconds
+    )
+    assert opt.presolve_seconds == pytest.approx(
+        sum(o.presolve_seconds for o in result.outcomes)
+        + seam.presolve_seconds
+    )
+    assert opt.windows_skipped_clean == (
+        sum(o.windows_skipped_clean for o in result.outcomes)
+        + seam.windows_skipped_clean
+    )
     summary = result.summary()
     assert summary["num_shards"] == 2
     assert summary["legal"] is True
@@ -137,11 +155,50 @@ def test_interrupt_and_resume_byte_identical(
 def test_resume_refuses_foreign_checkpoint_dir(tmp_path):
     design = fresh_design()
     store = ShardCheckpointStore(tmp_path)
-    store.begin(design, 2, 2, resume=False)
+    store.begin(design, 2, 2, PARAMS, resume=False)
     with pytest.raises(ValueError, match="different run"):
-        store.begin(design, 3, 2, resume=True)
+        store.begin(design, 3, 2, PARAMS, resume=True)
     # Without resume the mismatched state is simply cleared.
-    assert store.begin(design, 3, 2, resume=False) is False
+    assert store.begin(design, 3, 2, PARAMS, resume=False) is False
+
+
+def test_resume_refuses_different_params(tmp_path):
+    design = fresh_design()
+    store = ShardCheckpointStore(tmp_path)
+    store.begin(design, 2, 2, PARAMS, resume=False)
+    assert store.begin(design, 2, 2, PARAMS, resume=True) is True
+    other = replace(PARAMS, alpha=PARAMS.alpha + 1)
+    with pytest.raises(ValueError, match="different run"):
+        store.begin(design, 2, 2, other, resume=True)
+
+
+def test_resume_refuses_different_placement(tmp_path):
+    design = fresh_design()
+    store = ShardCheckpointStore(tmp_path)
+    store.begin(design, 2, 2, PARAMS, resume=False)
+    moved = fresh_design()
+    inst = next(i for i in moved.instances.values() if not i.fixed)
+    inst.orientation = inst.orientation.flipped()
+    with pytest.raises(ValueError, match="different run"):
+        store.begin(moved, 2, 2, PARAMS, resume=True)
+
+
+def test_done_record_without_accounting_fields_reads_zero(
+    sharded_reference,
+):
+    _, result = sharded_reference
+    doc = result.outcomes[0].to_dict()
+    for key in (
+        "build_seconds", "presolve_seconds", "windows_skipped_clean"
+    ):
+        del doc[key]
+    old = ShardOutcome.from_dict(doc)
+    assert (
+        old.build_seconds,
+        old.presolve_seconds,
+        old.windows_skipped_clean,
+    ) == (0.0, 0.0, 0)
+    assert old.placements == result.outcomes[0].placements
 
 
 def test_run_sharded_rejects_bad_counts():
